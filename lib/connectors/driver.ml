@@ -13,7 +13,7 @@ type outcome =
 (* [batch > 1] hammers each port with the batch API instead of one
    blocking op at a time: one lock-free publication burst and at most one
    park per [batch] values — the submission pattern the engines' MPSC
-   queues and self-loop replay exist to amortize. *)
+   queues exist to amortize. *)
 let port_threads ?(batch = 1) inst =
   let bodies = ref [] in
   List.iter
@@ -54,11 +54,6 @@ let port_threads ?(batch = 1) inst =
     (Preo.groups inst);
   !bodies
 
-let dbg fmt =
-  if Sys.getenv_opt "PREO_DRIVER_DEBUG" <> None then
-    Printf.eprintf ("[driver] " ^^ fmt ^^ "\n%!")
-  else Printf.ifprintf stderr fmt
-
 let run_window ?config ?backend ?domains ?batch ~seconds entry n =
   let compiled = Catalog.compiled entry in
   match
@@ -67,25 +62,16 @@ let run_window ?config ?backend ?domains ?batch ~seconds entry n =
   with
   | exception Preo.Connector.Compile_failure msg -> Compile_failed msg
   | inst ->
-    dbg "instantiated %s" entry.Catalog.name;
     let conn = Preo.connector inst in
     let threads =
       List.map (Preo.Task.spawn ~on:(Preo.sched inst)) (port_threads ?batch inst)
     in
-    dbg "spawned %d" (List.length threads);
     Thread.delay seconds;
     let steps = Preo.steps inst in
     let run_seconds = seconds in
-    dbg "window over, steps=%d; shutting down" steps;
     let stats = Preo.Connector.stats conn in
     Preo.shutdown inst;
-    dbg "poisoned; joining";
-    List.iteri
-      (fun i t ->
-        dbg "join %d" i;
-        try Preo.Task.join t with _ -> ())
-      threads;
-    dbg "joined";
+    List.iter (fun t -> try Preo.Task.join t with _ -> ()) threads;
     (match Preo.Connector.failure conn with
      | Some msg -> Run_failed msg
      | None ->

@@ -36,7 +36,8 @@ let incr ?(by = 1) c = ignore (Atomic.fetch_and_add c.c_value by)
 let counter_value c = Atomic.get c.c_value
 
 (* Power-of-two seconds buckets from 1µs to ~8s: wide enough for a port-op
-   wait on a loaded box, fine enough to separate spin from park. *)
+   wait on a loaded box, fine enough to separate a completion found at lock
+   acquisition from a park. *)
 let seconds_buckets =
   Array.init 24 (fun i -> 1e-6 *. float_of_int (1 lsl i))
 

@@ -232,11 +232,8 @@ type stats = {
       (** nonempty submission-queue drains; [st_mpsc_ops /
           st_mpsc_batches] is the mean installed batch size *)
   st_mpsc_fast : int;
-      (** operations completed without the submitting task ever taking an
-          engine mutex (lock-free fast path) *)
-  st_batch_fires : int;
-      (** transition firings obtained by replaying a committed guard-free
-          self-loop — firings beyond the one found by a candidate scan *)
+      (** operations already complete the first time their submitting task
+          held the engine lock: another thread's drive finished them *)
   st_domains : int;  (** effective domain count (see {!domains}) *)
   st_splices : int;  (** elastic splices completed (see {!splices}) *)
   st_color_rounds : int;

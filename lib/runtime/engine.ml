@@ -23,62 +23,6 @@ let m_fires = Metrics.counter ~help:"transitions fired" "transitions_fired_total
 let m_parks = Metrics.counter ~help:"operation parks" "port_parks_total"
 let m_stalls = Metrics.counter ~help:"stall reports" "stalls_total"
 
-(* Diagnostic-only: per-thread stage notes, enabled via PREO_ENGINE_TRACE or
-   set_op_trace. One entry per thread with an in-flight operation; the entry
-   is removed when the operation finishes (normally or by exception), so the
-   table stays bounded by the number of currently blocked tasks instead of
-   growing with every thread ever seen. *)
-let trace_enabled = ref (Sys.getenv_opt "PREO_ENGINE_TRACE" <> None)
-let set_op_trace b = trace_enabled := b
-
-(* Sharded by thread id: stage notes from tasks on different domains no
-   longer serialize on one process-wide mutex. Each shard keeps the
-   single-writer-per-entry discipline (a thread only ever touches its own
-   tid's entry); the shard lock exists for the Hashtbl's sake and for
-   [trace_dump], which walks all shards. *)
-let trace_shards = 16 (* power of two: shard_of uses a mask *)
-
-type trace_shard = { sh_lock : Mutex.t; sh_tbl : (int, string) Hashtbl.t }
-
-let trace_tbl =
-  Array.init trace_shards (fun _ ->
-      { sh_lock = Mutex.create (); sh_tbl = Hashtbl.create 8 })
-
-let shard_of tid = trace_tbl.(tid land (trace_shards - 1))
-
-let trace stage =
-  if !trace_enabled then begin
-    let tid = Thread.id (Thread.self ()) in
-    let sh = shard_of tid in
-    Mutex.lock sh.sh_lock;
-    Hashtbl.replace sh.sh_tbl tid stage;
-    Mutex.unlock sh.sh_lock
-  end
-
-(* Called when an operation leaves the engine for good; the thread has no
-   in-flight op, so its stage note is stale. *)
-let trace_clear () =
-  if !trace_enabled then begin
-    let tid = Thread.id (Thread.self ()) in
-    let sh = shard_of tid in
-    Mutex.lock sh.sh_lock;
-    Hashtbl.remove sh.sh_tbl tid;
-    Mutex.unlock sh.sh_lock
-  end
-
-let trace_dump () =
-  Array.fold_left
-    (fun acc sh ->
-      Mutex.lock sh.sh_lock;
-      let acc =
-        Hashtbl.fold
-          (fun tid stage acc -> acc ^ Printf.sprintf "thread %d: %s\n" tid stage)
-          sh.sh_tbl acc
-      in
-      Mutex.unlock sh.sh_lock;
-      acc)
-    "" trace_tbl
-
 type gate = {
   gate_ready : unit -> bool;
   gate_peek : unit -> Value.t;
@@ -127,10 +71,9 @@ type waiter = {
    try-ops leave it [None] — their issuing thread is the one driving,
    nobody needs a wake.
 
-   Completion ([s_done] / [r_result]) is atomic, not a plain mutable: on
-   the lock-free fast path the submitting task polls it from outside the
-   engine lock while the current lock holder completes it inside, possibly
-   on another domain. The waiter field stays plain mutable — it is only
+   Completion ([s_done] / [r_result]) is atomic, not a plain mutable: the
+   lock holder that completes an op may run on another domain than its
+   submitter. The waiter field stays plain mutable — it is only
    touched under the engine lock (set at drain, read at completion).
 
    [s_tid]/[r_tid] record the submitting thread so the drainer — a
@@ -213,11 +156,8 @@ type t = {
   nmpsc_ops : int Atomic.t;  (** operations that went through the MPSC queue *)
   nmpsc_batches : int Atomic.t;  (** nonempty drains of the MPSC queue *)
   nmpsc_fast : int Atomic.t;
-      (** ops completed on the lock-free fast path: the submitting task
-          never took the engine mutex *)
-  nbatch : int Atomic.t;
-      (** extra transition firings obtained by batched self-loop replay
-          (beyond the first firing found by the candidate scan) *)
+      (** ops already complete when their submitter first held the lock:
+          another thread's drive finished them *)
   ncfires : int Atomic.t;  (** firings through compiled (closure) commands *)
   nifires : int Atomic.t;  (** firings through the interpreted walk *)
   mutable fire_env : Command.env option;
@@ -286,7 +226,6 @@ let create ?(gates = []) ?(name = "engine") comp =
     nmpsc_ops = Atomic.make 0;
     nmpsc_batches = Atomic.make 0;
     nmpsc_fast = Atomic.make 0;
-    nbatch = Atomic.make 0;
     ncfires = Atomic.make 0;
     nifires = Atomic.make 0;
     fire_env = None;
@@ -337,7 +276,6 @@ let stalls t = Atomic.get t.nstalls
 let mpsc_ops t = Atomic.get t.nmpsc_ops
 let mpsc_batches t = Atomic.get t.nmpsc_batches
 let mpsc_fast t = Atomic.get t.nmpsc_fast
-let batch_fires t = Atomic.get t.nbatch
 let compiled_fires t = Atomic.get t.ncfires
 let interp_fires t = Atomic.get t.nifires
 
@@ -515,32 +453,6 @@ let drain_subs t =
     ignore (Atomic.fetch_and_add t.nmpsc_ops !n);
     true
 
-(* Batched self-loop firing: when a transition that just fired is a
-   self-loop with a guard-free command, it is — by definition of self-loop
-   — still among the current state's transitions, and its enabledness
-   depends only on its needed boundary vertices still having data/room. So
-   instead of re-running the whole candidate scan (and, for JIT, the
-   candidate-cache lookup) per datum, replay the same transition while its
-   needs stay satisfied: one scan, k data moves. The cap bounds how long
-   the lock is held against a pathological firehose. *)
-let batch_limit = 64
-
-(* May [x] fire again right now? Per needed vertex: a gate must report
-   ready (data / room in the bridge), a task-facing vertex must have a
-   nonempty queue. Caller holds the lock; only called for self-loops, so
-   the composer state is unchanged. *)
-let still_enabled t (x : Composer.xtrans) =
-  let vertex_ready q_tbl v =
-    match entry_of t v with
-    | Some e -> e.ge_gate.gate_ready ()
-    | None -> (
-      match Hashtbl.find_opt q_tbl v with
-      | Some q -> not (Queue.is_empty q)
-      | None -> false)
-  in
-  Iset.for_all (vertex_ready t.send_q) x.needs_send
-  && Iset.for_all (vertex_ready t.recv_q) x.needs_recv
-
 (* The engine's single [Command.env]: allocated once, reused for every
    firing attempt (compiled or interpreted). Its closures capture [t], so
    they survive splice (which replaces [t.cells] and the composer's
@@ -571,8 +483,7 @@ let fire_env t =
     t.fire_env <- Some env;
     env
 
-(* Fire one enabled transition if any (plus its batched replays); caller
-   holds the lock. *)
+(* Fire one enabled transition if any; caller holds the lock. *)
 let fire_one t =
   let pending = pending_now t in
   let cands = Composer.candidates t.comp ~pending in
@@ -580,9 +491,6 @@ let fire_one t =
   if n = 0 then false
   else begin
     let start = Atomic.get t.nsteps mod n in
-    (* Decided inside try_candidate, BEFORE Composer.commit — afterwards
-       the current state is the target and self-loop-ness degenerates. *)
-    let batchable = ref false in
     let try_candidate (x : Composer.xtrans) =
       let env = fire_env t in
       t.staged_cells <- [];
@@ -592,34 +500,23 @@ let fire_one t =
       | Some cmd ->
         (* Compiled commands check guards and execute in one closure call
            (its writes only stage, so a [false] has no effect to undo);
-           interpreted ones walk the guard/move trees. [residual_guards]
-           counts data tests that survived constant folding — the ones
-           whose verdict could change between replays. *)
-        let fired, residual_guards =
+           interpreted ones walk the guard/move trees. *)
+        let fired =
           match Composer.compiled_of x with
           | Some k ->
-            if Command.fire_compiled k env then begin
-              Atomic.incr t.ncfires;
-              (true, Command.compiled_nguards k)
-            end
-            else (false, 0)
+            let ok = Command.fire_compiled k env in
+            if ok then Atomic.incr t.ncfires;
+            ok
           | None ->
-            if Command.guards_hold cmd env then begin
+            let ok = Command.guards_hold cmd env in
+            if ok then begin
               Atomic.incr t.nifires;
-              Command.execute cmd env;
-              (true, Array.length cmd.Command.guards)
-            end
-            else (false, 0)
+              Command.execute cmd env
+            end;
+            ok
         in
         if not fired then false
         else begin
-          (* A silent self-loop (no needs at all) must never be replayed:
-             it would spin inside the batch loop without moving data. *)
-          batchable :=
-            residual_guards = 0
-            && (not (Iset.is_empty x.needs_send)
-               || not (Iset.is_empty x.needs_recv))
-            && Composer.is_self_loop t.comp x;
           (* Apply staged effects. *)
           List.iter (fun (c, v) -> t.cells.(c) <- Some v) t.staged_cells;
           List.iter
@@ -672,27 +569,7 @@ let fire_one t =
         end
     in
     let rec scan i =
-      i < n
-      && begin
-           let x = cands.((start + i) mod n) in
-           if not (try_candidate x) then scan (i + 1)
-           else begin
-             (* Amortize the scan: replay the committed self-loop while its
-                needs stay satisfied. Each replay goes back through
-                try_candidate, so staging, delivery, gate kicks, wakes and
-                tracing behave exactly as for a scanned firing. *)
-             if !batchable then begin
-               let k = ref 1 in
-               while
-                 !k < batch_limit && still_enabled t x && try_candidate x
-               do
-                 incr k;
-                 Atomic.incr t.nbatch
-               done
-             end;
-             true
-           end
-         end
+      i < n && (try_candidate cands.((start + i) mod n) || scan (i + 1))
     in
     scan 0
   end
@@ -966,16 +843,8 @@ let withdraw t tbl v keep_op =
    expiry; expiry withdraws the operation and returns the stall report. *)
 let untraced_submit_t = ref 0.0
 
-(* Bounded lock-free wait after publishing an op: give the current lock
-   holder a chance to drain and complete it before we contend on the mutex
-   at all. The occasional yield matters on a single domain, where systhreads
-   interleave rather than truly run in parallel — spinning alone would never
-   let the drainer progress. *)
-let spin_budget = 64
-
 let run_op ?deadline ?(publish = true) t ~opname ~opv ~sub ~remove ~finished
     ~failed ~extract =
-  trace "entry";
   (match Atomic.get t.poison_flag with
    | Some msg -> raise (Poisoned msg)
    | None -> ());
@@ -998,43 +867,7 @@ let run_op ?deadline ?(publish = true) t ~opname ~opv ~sub ~remove ~finished
      [publish = false] re-enters the wait for an op that is already
      installed (the batch retry path). *)
   if publish then Mpsc.push t.subs sub;
-  trace "published";
-  let locked = ref false in
-  let fast_done =
-    deadline = None
-    && !Config.stall_threshold = None
-    && (not traced)
-    &&
-    (* Fast path: poll the op's atomic completion flag while a concurrent
-       drainer works, grabbing the lock only if it frees up first. Plain
-       ops only — deadlines, the stall watchdog and tracing all need the
-       locked bookkeeping below. Completion is read through an atomic, so
-       this is safe from any domain; if nobody completes the op we fall
-       through to the mutex+condvar path, which drains the queue itself
-       (every published op has an owner that eventually drains, so none is
-       ever lost). *)
-    let rec spin i =
-      if finished () then true
-      else if Mutex.try_lock t.lock then begin
-        locked := true;
-        false
-      end
-      else if i >= spin_budget then false
-      else begin
-        if i land 7 = 7 then Thread.yield () else Domain.cpu_relax ();
-        spin (i + 1)
-      end
-    in
-    spin 0
-  in
-  if fast_done then begin
-    Atomic.incr t.nmpsc_fast;
-    trace_clear ();
-    Ok (extract ())
-  end
-  else begin
-  trace "locking";
-  if not !locked then Mutex.lock t.lock;
+  Mutex.lock t.lock;
   let result =
     try
       check_poison t;
@@ -1105,7 +938,6 @@ let run_op ?deadline ?(publish = true) t ~opname ~opv ~sub ~remove ~finished
          a spurious wake (the metric targeted wakeups exist to minimize). *)
       let woke_idle = ref false in
       let park () =
-        trace "waiting";
         if !woke_idle then Atomic.incr t.nwakes_sp;
         Atomic.incr t.nwaits;
         if traced then begin
@@ -1116,16 +948,18 @@ let run_op ?deadline ?(publish = true) t ~opname ~opv ~sub ~remove ~finished
         Condition.wait w.w_cond t.lock;
         w.w_parked <- w.w_parked - 1;
         woke_idle := true;
-        if traced then Obs.emit (obs_ring t) Obs.Wake ~a:opv ~b:tid;
-        trace "woken"
+        if traced then Obs.emit (obs_ring t) Obs.Wake ~a:opv ~b:tid
       in
-      let rec loop () =
-        trace "loop";
+      (* [first]: an op already complete on the first pass was finished by
+         another thread's drive while we waited for the lock. *)
+      let rec loop first =
         check_poison t;
         check_failed ();
-        if finished () then Ok (extract ())
+        if finished () then begin
+          if first then Atomic.incr t.nmpsc_fast;
+          Ok (extract ())
+        end
         else begin
-          trace "driving";
           let progressed = drive t in
           if progressed then woke_idle := false;
           check_poison t;
@@ -1135,27 +969,23 @@ let run_op ?deadline ?(publish = true) t ~opname ~opv ~sub ~remove ~finished
           end
           else begin
             flush_kicks t;
-            if progressed || finished () then loop ()
+            if progressed || finished () then loop false
             else if deadline = None && threshold = None then begin
               park ();
-              loop ()
+              loop false
             end
             else begin
               match check_deadline () with
               | Some report -> Error report
               | None ->
                 park ();
-                loop ()
+                loop false
             end
           end
         end
       in
-      loop ()
-    with e ->
-      (* The operation is over either way; drop this thread's stage note so
-         trace_tbl stays bounded by in-flight operations. *)
-      trace_clear ();
-      unlock_raise t e
+      loop true
+    with e -> unlock_raise t e
   in
   if traced then begin
     (match result with
@@ -1170,7 +1000,6 @@ let run_op ?deadline ?(publish = true) t ~opname ~opv ~sub ~remove ~finished
   end;
   flush_kicks t;
   Mutex.unlock t.lock;
-  trace_clear ();
   match result with
   | Ok _ -> result
   | Error partial ->
@@ -1185,7 +1014,6 @@ let run_op ?deadline ?(publish = true) t ~opname ~opv ~sub ~remove ~finished
     Atomic.incr t.nstalls;
     Mutex.unlock t.lock;
     Error full
-  end
 
 let new_send_op value =
   { sv = value; s_done = Atomic.make false; s_w = None;

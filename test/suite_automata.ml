@@ -266,15 +266,6 @@ let map_vertices_roundtrip () =
   Alcotest.(check bool) "renamed sources" true (Iset.mem a' g.Automaton.sources);
   Alcotest.(check bool) "old gone" false (Iset.mem a g.Automaton.vertices)
 
-let dispatch_candidates () =
-  let a = v "a" and b = v "b" in
-  let auto = Automaton.trim (fifo_auto a b) in
-  let d = Dispatch.build auto in
-  let cands = Dispatch.candidates d ~state:0 ~pending:(iset [ a ]) in
-  Alcotest.(check int) "accept enabled" 1 (Array.length cands);
-  let none = Dispatch.candidates d ~state:0 ~pending:(iset [ b ]) in
-  Alcotest.(check int) "emit not in empty state" 0 (Array.length none)
-
 let dot_export_mentions_states () =
   let a = v "a" and b = v "b" in
   let s = Dot.automaton ~name:"fifo" (fifo_auto a b) in
@@ -311,7 +302,6 @@ let tests =
     ("trim: unreachable removed", `Quick, trim_removes_unreachable);
     ("optimize_labels drops unsat", `Quick, optimize_labels_drops_unsat);
     ("map_vertices", `Quick, map_vertices_roundtrip);
-    ("dispatch index", `Quick, dispatch_candidates);
     ("dot export", `Quick, dot_export_mentions_states);
     ("constraint ports/cells", `Quick, constr_ports_and_cells);
   ]

@@ -202,40 +202,6 @@ let targeted_wake_counters () =
         (st.Connector.st_wakes_broadcast >= 1))
     stress_configs
 
-(* The per-thread engine trace table is bounded by in-flight operations:
-   entries appear while an operation is blocked and vanish when it
-   completes, so a drained system dumps empty. *)
-let trace_table_drains () =
-  Engine.set_op_trace true;
-  Fun.protect ~finally:(fun () -> Engine.set_op_trace false) (fun () ->
-      let a = Preo_automata.Vertex.fresh "a"
-      and b = Preo_automata.Vertex.fresh "b" in
-      let auto =
-        Preo_reo.Prim.build Preo_reo.Prim.Fifo1 ~tails:[ a ] ~heads:[ b ]
-      in
-      let conn =
-        Connector.create ~config:Config.new_jit ~sources:[| a |] ~sinks:[| b |]
-          [ auto ]
-      in
-      let t =
-        Task.spawn (fun () -> ignore (Port.recv (Connector.inport conn b)))
-      in
-      Thread.delay 0.05;
-      Alcotest.(check bool) "blocked op is traced" true
-        (Engine.trace_dump () <> "");
-      Port.send (Connector.outport conn a) Value.unit;
-      Task.join t;
-      Alcotest.(check string) "drained after completion" ""
-        (Engine.trace_dump ());
-      (* A blocked op released by close must also clear its entry. *)
-      let t2 =
-        Task.spawn (fun () -> ignore (Port.recv (Connector.inport conn b)))
-      in
-      Thread.delay 0.05;
-      Connector.close conn;
-      Task.join t2;
-      Alcotest.(check string) "drained after close" "" (Engine.trace_dump ()))
-
 let tests =
   [
     ("sequencer deadline storm", `Quick, sequencer_deadline_storm);
@@ -243,5 +209,4 @@ let tests =
     ("token-ring deadline storm", `Quick, ring_deadline_storm);
     ("poison releases everyone", `Quick, poison_releases_everyone);
     ("targeted wake counters", `Quick, targeted_wake_counters);
-    ("trace table drains", `Quick, trace_table_drains);
   ]

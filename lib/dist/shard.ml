@@ -1,6 +1,6 @@
 (* Sharded connector fabric: run a partitioned connector's regions in
    separate OS processes, with the cross-process cut queues carried over
-   bridge sockets.
+   loopback sockets.
 
    The partition plan is the contract. [Partition.split] assigns region and
    cut indices deterministically for a given (mediums, domains,
@@ -75,7 +75,11 @@ let value_of_line line =
     Bytes.init (n / 2) (fun i ->
         Char.chr ((nib line.[2 * i] lsl 4) lor nib line.[(2 * i) + 1]))
   in
-  Wire.decode_value bytes ~pos:(ref 0)
+  let pos = ref 0 in
+  let v = Wire.decode_value bytes ~pos in
+  if !pos <> n / 2 then
+    shard_err "shard: %d trailing bytes in journal line" ((n / 2) - !pos);
+  v
 
 let read_journal path =
   if not (Sys.file_exists path) then []
@@ -302,6 +306,45 @@ let inject_init c (shape : Partition.cut_shape) =
   | Partition.Cut_auto _ -> ()
   | Partition.Cut_queue { q_init; _ } ->
     List.iter (fun v -> producer_commit ~latency_every:0 c v) q_init
+
+(* --- Sockets -----------------------------------------------------------------
+   Links run over loopback TCP: the host listens on a kernel-assigned port
+   (no hardcoded port numbers) and passes it to workers on their command
+   line. *)
+
+let loopback port = Unix.ADDR_INET (Unix.inet_addr_loopback, port)
+
+let listen_local () =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt fd Unix.SO_REUSEADDR true;
+  Unix.bind fd (loopback 0);
+  Unix.listen fd 64;
+  fd
+
+let bound_port fd =
+  match Unix.getsockname fd with
+  | Unix.ADDR_INET (_, port) -> port
+  | Unix.ADDR_UNIX _ -> invalid_arg "Shard.bound_port: not an inet socket"
+
+let connect_local ?(retries = 0) ?(backoff = 0.05) ~port () =
+  (* A listener that is still starting up is transient: retry with
+     exponential backoff, bounded so a genuinely dead peer fails fast. The
+     delay is capped at 1 s so a large retry budget bounds the total wait
+     at ~retries seconds rather than growing geometrically. *)
+  let rec go n delay =
+    let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    match Unix.connect s (loopback port) with
+    | () -> s
+    | exception Unix.Unix_error ((ECONNREFUSED | ECONNRESET | EINTR), _, _)
+      when n < retries ->
+      (try Unix.close s with _ -> ());
+      Thread.delay delay;
+      go (n + 1) (Float.min 1.0 (delay *. 2.0))
+    | exception e ->
+      (try Unix.close s with _ -> ());
+      raise e
+  in
+  go 0 backoff
 
 (* --- Links -------------------------------------------------------------------
    One socket per (host, worker) pair, multiplexing every channel between
@@ -947,9 +990,9 @@ let host ?(window = 1024) ?domains ?compile ?(retries = 3) ?(backoff = 0.25)
     shard_err "shard: placement plan mismatch (%d regions vs %d)"
       (Connector.plan_regions conn) nregions;
   set_kicks conn (List.map (fun (_, c, _) -> c) chans);
-  let listener = Bridge.listen_local ~port:0 () in
+  let listener = listen_local () in
   (try Unix.set_close_on_exec listener with _ -> ());
-  let port = Bridge.bound_port listener in
+  let port = bound_port listener in
   (* The per-worker configuration frame, rebuilt at every (re)connect so
      resume floors reflect the host's current consume and ack positions. *)
   let cfg_for w =
@@ -1111,7 +1154,7 @@ let shutdown h =
      self-connection covers platforms where it does not. *)
   (try Unix.shutdown h.h_listener Unix.SHUTDOWN_ALL with _ -> ());
   (try
-     let fd = Bridge.connect_local ~port:h.h_port () in
+     let fd = connect_local ~port:h.h_port () in
      Unix.close fd
    with _ -> ());
   (try Unix.close h.h_listener with _ -> ());
@@ -1254,7 +1297,7 @@ let run_workload conn bindings = function
       w_indices
 
 let worker_main ?(retries = 100) ?(backoff = 0.05) ~port ~token () =
-  let fd = Bridge.connect_local ~retries ~backoff ~port () in
+  let fd = connect_local ~retries ~backoff ~port () in
   Wire.write_shard fd (Wire.Sh_hello { token });
   let cfg =
     match Wire.read_shard ~deadline:(Unix.gettimeofday () +. 30.0) fd with

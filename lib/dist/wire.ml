@@ -1,5 +1,12 @@
 open Preo_support
 
+(* Writing to a peer that already closed must surface as EPIPE, not kill the
+   process. *)
+let () =
+  match Sys.os_type with
+  | "Unix" -> (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with _ -> ())
+  | _ -> ()
+
 (* --- Value encoding ------------------------------------------------------- *)
 
 let add_int64 buf (x : int64) =
@@ -175,92 +182,6 @@ let read_frame ?deadline fd ~allow_eof =
      | Some payload -> Some payload
      | None -> assert false)
 
-(* --- Messages --------------------------------------------------------------- *)
-
-type request = Req_send of Value.t | Req_recv | Req_close
-type response = Resp_ok | Resp_value of Value.t | Resp_error of string
-
-type span = { sp_corr : int; sp_span : int }
-
-(* A traced request frame carries a 'T' header (correlation id + span id)
-   before the request tag; untraced frames start directly at the tag, so the
-   two framings coexist on one connection and tracing can be toggled
-   per-request. *)
-let write_request ?deadline ?span fd req =
-  let buf = Buffer.create 32 in
-  (match span with
-   | Some { sp_corr; sp_span } ->
-     Buffer.add_char buf 'T';
-     add_int buf sp_corr;
-     add_int buf sp_span
-   | None -> ());
-  (match req with
-   | Req_send v ->
-     Buffer.add_char buf 'S';
-     encode_value buf v
-   | Req_recv -> Buffer.add_char buf 'R'
-   | Req_close -> Buffer.add_char buf 'C');
-  write_frame ?deadline fd buf
-
-let read_request_traced ?deadline fd =
-  match read_frame ?deadline fd ~allow_eof:true with
-  | None -> None
-  | Some b ->
-    let pos = ref 0 in
-    need b pos 1;
-    let span =
-      if Bytes.get b !pos = 'T' then begin
-        incr pos;
-        need b pos 16;
-        let sp_corr = get_int b ~pos in
-        let sp_span = get_int b ~pos in
-        Some { sp_corr; sp_span }
-      end
-      else None
-    in
-    need b pos 1;
-    let tag = Bytes.get b !pos in
-    incr pos;
-    (match tag with
-     | 'S' -> Some (Req_send (decode_value b ~pos), span)
-     | 'R' -> Some (Req_recv, span)
-     | 'C' -> Some (Req_close, span)
-     | c -> failwith (Printf.sprintf "wire: bad request tag %C" c))
-
-let read_request ?deadline fd =
-  Option.map fst (read_request_traced ?deadline fd)
-
-let write_response ?deadline fd resp =
-  let buf = Buffer.create 32 in
-  (match resp with
-   | Resp_ok -> Buffer.add_char buf 'O'
-   | Resp_value v ->
-     Buffer.add_char buf 'V';
-     encode_value buf v
-   | Resp_error msg ->
-     Buffer.add_char buf 'E';
-     add_int buf (String.length msg);
-     Buffer.add_string buf msg);
-  write_frame ?deadline fd buf
-
-let read_response ?deadline fd =
-  match read_frame ?deadline fd ~allow_eof:false with
-  | None -> assert false
-  | Some b ->
-    let pos = ref 0 in
-    need b pos 1;
-    let tag = Bytes.get b !pos in
-    incr pos;
-    (match tag with
-     | 'O' -> Resp_ok
-     | 'V' -> Resp_value (decode_value b ~pos)
-     | 'E' ->
-       need b pos 8;
-       let n = get_int b ~pos in
-       need b pos n;
-       Resp_error (Bytes.sub_string b !pos n)
-     | c -> failwith (Printf.sprintf "wire: bad response tag %C" c))
-
 (* --- Shard fabric messages -------------------------------------------------- *)
 
 type shard_msg =
@@ -359,4 +280,11 @@ let read_shard ?deadline fd =
   | None -> None
   | Some b ->
     let pos = ref 0 in
-    Some (decode_shard b ~pos)
+    let msg = decode_shard b ~pos in
+    (* A frame holds exactly one message: trailing bytes mean a corrupt or
+       misframed stream, never a second message to drop silently. *)
+    if !pos <> Bytes.length b then
+      failwith
+        (Printf.sprintf "wire: %d trailing bytes after shard message"
+           (Bytes.length b - !pos));
+    Some msg

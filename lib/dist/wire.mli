@@ -1,11 +1,14 @@
-(** Wire format for port operations across process boundaries.
+(** Wire format of the sharded connector fabric (see {!module:Shard}).
 
     Values are encoded with a self-describing binary format (no [Marshal],
     so the two endpoints need not run the same binary); every message is a
-    length-prefixed frame. Decoding bounds-checks every length against the
-    frame, so malformed peer input fails with [Failure "wire: ..."] rather
-    than [Invalid_argument] or [Out_of_memory]; reads and writes restart on
-    [EINTR] so a signal cannot corrupt the stream framing.
+    length-prefixed frame holding exactly one message. Decoding
+    bounds-checks every length against the frame, so malformed peer input
+    fails with [Failure "wire: ..."] rather than [Invalid_argument] or
+    [Out_of_memory]; reads and writes restart on [EINTR] so a signal cannot
+    corrupt the stream framing. Linking this module ignores [SIGPIPE], so a
+    write to a closed peer raises [Unix_error (EPIPE, _, _)] instead of
+    killing the process.
 
     All I/O entry points take an optional [deadline] (absolute Unix time);
     when the descriptor is not ready in time, {!Timeout} is raised. *)
@@ -18,37 +21,6 @@ exception Timeout
 val encode_value : Buffer.t -> Value.t -> unit
 val decode_value : bytes -> pos:int ref -> Value.t
 (** Raises [Failure] on malformed input. *)
-
-type request =
-  | Req_send of Value.t  (** complete a send on the bridged outport *)
-  | Req_recv  (** complete a receive on the bridged inport *)
-  | Req_close
-
-type response =
-  | Resp_ok
-  | Resp_value of Value.t
-  | Resp_error of string
-
-type span = { sp_corr : int; sp_span : int }
-(** Trace identity of one RPC: the client process's correlation ID plus a
-    per-RPC span ID, carried inside the request frame (as a ['T'] header
-    before the request tag) so traces exported on both sides of a bridge
-    merge on a shared correlation. *)
-
-val write_request :
-  ?deadline:float -> ?span:span -> Unix.file_descr -> request -> unit
-
-val read_request : ?deadline:float -> Unix.file_descr -> request option
-(** [None] on clean EOF. Accepts traced and untraced frames (any span is
-    dropped). *)
-
-val read_request_traced :
-  ?deadline:float -> Unix.file_descr -> (request * span option) option
-(** Like {!read_request} but also returns the trace span, if the frame
-    carried one. *)
-
-val write_response : ?deadline:float -> Unix.file_descr -> response -> unit
-val read_response : ?deadline:float -> Unix.file_descr -> response
 
 (** Messages of the sharded connector fabric (see {!module:Shard}). One
     connection carries all cut channels between two processes; [Sh_batch]
@@ -79,4 +51,5 @@ val decode_shard : bytes -> pos:int ref -> shard_msg
 val write_shard : ?deadline:float -> Unix.file_descr -> shard_msg -> unit
 
 val read_shard : ?deadline:float -> Unix.file_descr -> shard_msg option
-(** [None] on clean EOF. *)
+(** [None] on clean EOF. Raises [Failure "wire: ..."] on a malformed frame,
+    including one with bytes left over after its message. *)

@@ -1,7 +1,7 @@
 (* Trace sinks: render the recorded rings as a human-readable dump or as
    Chrome trace-event JSON (the format Perfetto / chrome://tracing load).
 
-   Lane model: every ring (engine, partition bridge, RPC side) is one
+   Lane model: every ring (engine, partition bridge) is one
    synthetic "thread" of this process, and every OS thread observed in
    port-operation events gets its own task lane. Blocking operations become
    duration ("X") slices from submit to complete, with their park/wake span
@@ -36,9 +36,6 @@ let dump ?rings () =
             | Obs.Expansion -> Printf.sprintf "total=%d new=%d" e.e_a e.e_b
             | Obs.Poison -> ""
             | Obs.Slot_put | Obs.Slot_take -> vname e.e_a
-            | Obs.Rpc_client_start | Obs.Rpc_client_end | Obs.Rpc_server_start
-            | Obs.Rpc_server_end ->
-              Printf.sprintf "span=%d corr=%d" e.e_a e.e_b
             | Obs.Wake_targeted ->
               Printf.sprintf "%s parked=%d" (vname e.e_a) e.e_b
             | Obs.Wake_broadcast -> Printf.sprintf "waiters=%d" e.e_a
@@ -69,9 +66,6 @@ let categories_of_kind = function
   | Obs.Park | Obs.Wake | Obs.Wake_targeted | Obs.Wake_broadcast -> "sched"
   | Obs.Stall -> "stall"
   | Obs.Slot_put | Obs.Slot_take -> "bridge"
-  | Obs.Rpc_client_start | Obs.Rpc_client_end | Obs.Rpc_server_start
-  | Obs.Rpc_server_end ->
-    "rpc"
 
 let chrome ?rings () =
   let rings = match rings with Some rs -> rs | None -> Obs.rings () in
@@ -110,10 +104,9 @@ let chrome ?rings () =
           o_tid = lane;
           o_args = [ ("name", Printf.sprintf "\"%s\"" (Json.escape (Obs.ring_label r))) ];
         };
-      (* Pending submit / park / rpc-start events awaiting their partner. *)
+      (* Pending submit / park events awaiting their partner. *)
       let pending_op : (int * int * bool, float) Hashtbl.t = Hashtbl.create 16 in
       let pending_park : (int, float) Hashtbl.t = Hashtbl.create 16 in
-      let pending_rpc : (int, float * string) Hashtbl.t = Hashtbl.create 16 in
       (* Per-lane clamp so exported instants are non-decreasing even if the
          system clock stepped mid-trace. *)
       let last = ref neg_infinity in
@@ -212,34 +205,10 @@ let chrome ?rings () =
                  })
           | Obs.Stall ->
             task_lane ~dom:e.e_dom e.e_b;
-            instant ~tid:e.e_b ("stall " ^ vname e.e_a) Obs.Stall ts
-          | Obs.Rpc_client_start | Obs.Rpc_server_start ->
-            let side =
-              if e.e_kind = Obs.Rpc_client_start then "rpc-client" else "rpc-server"
-            in
-            Hashtbl.replace pending_rpc e.e_a (ts, side)
-          | Obs.Rpc_client_end | Obs.Rpc_server_end -> begin
-            let corr_args =
-              [ ("span", string_of_int e.e_a); ("corr", string_of_int e.e_b) ]
-            in
-            match Hashtbl.find_opt pending_rpc e.e_a with
-            | None -> instant "rpc" e.e_kind ts ~args:corr_args
-            | Some (start, side) ->
-              Hashtbl.remove pending_rpc e.e_a;
-              push
-                {
-                  o_name = side;
-                  o_cat = "rpc";
-                  o_ph = "X";
-                  o_ts = us start;
-                  o_dur = Float.max 0.01 (us ts -. us start);
-                  o_tid = lane;
-                  o_args = corr_args;
-                }
-          end)
+            instant ~tid:e.e_b ("stall " ^ vname e.e_a) Obs.Stall ts)
         (Obs.events r);
-      (* Whatever is still pending at export time (blocked ops, in-flight
-         RPCs) surfaces as instants so nothing silently disappears. *)
+      (* Whatever is still pending at export time (blocked ops) surfaces as
+         instants so nothing silently disappears. *)
       Hashtbl.iter
         (fun (tid, v, is_send) start ->
           task_lane tid;
@@ -247,12 +216,7 @@ let chrome ?rings () =
             ((if is_send then "blocked send " else "blocked recv ") ^ vname v)
             (if is_send then Obs.Submit_send else Obs.Submit_recv)
             start)
-        pending_op;
-      Hashtbl.iter
-        (fun span (start, side) ->
-          instant (side ^ " (in flight)") Obs.Rpc_client_start start
-            ~args:[ ("span", string_of_int span) ])
-        pending_rpc)
+        pending_op)
     rings;
   Hashtbl.iter
     (fun tid dom ->

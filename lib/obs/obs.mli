@@ -1,8 +1,8 @@
 (** Structured tracing core: per-lane fixed-size rings of binary events.
 
     The runtime records transition firings, port-operation lifecycles, JIT
-    expansions, stalls, poisonings, partition-bridge slot traffic and bridge
-    RPCs into rings registered here — but only while {!tracing} is set, so
+    expansions, stalls, poisonings and partition-bridge slot traffic into
+    rings registered here — but only while {!tracing} is set, so
     the firing fast path pays a single branch when tracing is off. Exporters
     ({!Export}) turn the rings into human-readable dumps or Chrome
     trace-event JSON; {!Metrics} aggregates counters and latency histograms
@@ -33,10 +33,6 @@ type kind =
   | Poison  (** engine poisoned *)
   | Slot_put  (** partition bridge slot filled; [a] = tail vertex *)
   | Slot_take  (** partition bridge slot drained; [a] = head vertex *)
-  | Rpc_client_start  (** bridge RPC issued; [a] = span id, [b] = correlation *)
-  | Rpc_client_end
-  | Rpc_server_start  (** traced bridge RPC received; [a] = span, [b] = corr *)
-  | Rpc_server_end
   | Wake_targeted
       (** waker-side: signalled the waiters parked on one vertex;
           [a] = vertex, [b] = number of parked operations *)
@@ -93,14 +89,10 @@ val vertex_namer : (int -> string) ref
 
 val set_vertex_namer : (int -> string) -> unit
 
-(** {1 Cross-process span correlation} *)
+(** {1 Cross-process correlation} *)
 
 val correlation : unit -> int
 (** This process's trace correlation ID: from [PREO_TRACE_CORR], else
-    generated once from pid and clock. Carried inside traced bridge-RPC
-    frames so exports from bridged processes merge on a shared ID. *)
-
-val set_correlation : int -> unit
-
-val next_span : unit -> int
-(** Fresh span ID for one bridge RPC (unique within this process). *)
+    generated once from pid and clock. The Chrome export stamps it into its
+    metadata; spawned shard workers inherit the environment, so setting
+    [PREO_TRACE_CORR] gives every process of one run the same ID. *)

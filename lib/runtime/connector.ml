@@ -606,8 +606,7 @@ let stats t =
 
 (* Exports cover every lane registered in the process — this connector's
    engines (whose rings are forced into existence so each appears even if it
-   recorded nothing yet) plus shared lanes such as partition bridges and
-   bridge RPCs. *)
+   recorded nothing yet) plus shared lanes such as partition bridges. *)
 let dump_trace t =
   Array.iter (fun e -> ignore (Engine.obs_ring e)) t.engines;
   Preo_obs.Export.dump ()

@@ -1,4 +1,5 @@
-(* Sharded multi-process fabric: shard frame codecs (roundtrip + fuzz),
+(* Sharded multi-process fabric: the wire codec (value and shard frame
+   roundtrips, malformed-input fuzz, EINTR and EPIPE on live descriptors),
    journal recovery, and end-to-end multi-process runs — clean streaming,
    worker crash with exactly-once replay, and retry-budget exhaustion
    escalating to structured poison. *)
@@ -16,7 +17,120 @@ let bcast_src =
   Repl(tl;x[1..#hd])
   mult prod (i:1..#hd) Fifo1(x[i];hd[i])|}
 
-(* --- codecs ------------------------------------------------------------------ *)
+(* --- values --------------------------------------------------------------- *)
+
+let roundtrip_value x =
+  let buf = Buffer.create 64 in
+  Wire.encode_value buf x;
+  let pos = ref 0 in
+  let y = Wire.decode_value (Buffer.to_bytes buf) ~pos in
+  Alcotest.(check bool)
+    (Format.asprintf "roundtrip %a" Value.pp x)
+    true (Value.equal x y);
+  Alcotest.(check int) "consumed all" (Buffer.length buf) !pos
+
+let wire_values () =
+  List.iter roundtrip_value
+    [
+      Value.unit;
+      Value.bool true;
+      Value.bool false;
+      Value.int 0;
+      Value.int (-12345678901);
+      Value.int max_int;
+      Value.float 3.14159;
+      Value.float (-0.0);
+      Value.float infinity;
+      Value.str "";
+      Value.str "hello \x00 world";
+      Value.pair (Value.int 1) (Value.str "x");
+      Value.list [ Value.int 1; Value.list [ Value.unit ]; Value.float 2.5 ];
+      Value.float_array [| 1.0; -2.5; 1e300 |];
+      Value.float_array [||];
+    ]
+
+let qcheck_wire =
+  let open QCheck in
+  let rec gen_value depth =
+    let open Gen in
+    if depth = 0 then
+      oneof
+        [
+          return Value.unit;
+          map Value.bool bool;
+          map Value.int int;
+          map Value.float (float_range (-1e6) 1e6);
+          map Value.str string_small;
+        ]
+    else
+      oneof
+        [
+          map Value.int int;
+          map2 Value.pair (gen_value (depth - 1)) (gen_value (depth - 1));
+          map Value.list (list_size (int_range 0 4) (gen_value (depth - 1)));
+          map
+            (fun l -> Value.float_array (Array.of_list l))
+            (list_size (int_range 0 6) (float_range (-1e9) 1e9));
+        ]
+  in
+  [
+    QCheck.Test.make ~name:"wire roundtrip (random values)" ~count:300
+      (QCheck.make ~print:Value.to_string (gen_value 3))
+      (fun x ->
+        let buf = Buffer.create 64 in
+        Wire.encode_value buf x;
+        let pos = ref 0 in
+        Value.equal x (Wire.decode_value (Buffer.to_bytes buf) ~pos));
+  ]
+
+let is_wire_error msg = String.starts_with ~prefix:"wire:" msg
+
+let decode_must_fail name bytes =
+  let pos = ref 0 in
+  match Wire.decode_value bytes ~pos with
+  | exception Failure msg ->
+    Alcotest.(check bool) (name ^ ": wire-prefixed failure") true (is_wire_error msg)
+  | _ -> Alcotest.fail (name ^ ": malformed frame decoded successfully")
+
+let le_int64 n =
+  let b = Bytes.create 8 in
+  for i = 0 to 7 do
+    Bytes.set b i
+      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical n (8 * i)) 0xFFL)))
+  done;
+  b
+
+let malformed_frames_rejected () =
+  let tagged tag len = Bytes.cat (Bytes.make 1 tag) (le_int64 len) in
+  decode_must_fail "negative string length" (tagged 's' (-4L));
+  decode_must_fail "over-frame string length" (tagged 's' 1_000_000L);
+  decode_must_fail "negative list length" (tagged 'l' (-1L));
+  decode_must_fail "over-frame list length" (tagged 'l' 1_000_000_000L);
+  decode_must_fail "negative float-array length" (tagged 'a' (-8L));
+  decode_must_fail "huge float-array length"
+    (tagged 'a' 1_099_511_627_776L (* would be an 8TB allocation *));
+  decode_must_fail "truncated int" (Bytes.of_string "i\x01\x02");
+  decode_must_fail "truncated pair" (Bytes.of_string "pi");
+  decode_must_fail "empty frame" Bytes.empty;
+  decode_must_fail "bad tag" (Bytes.of_string "z")
+
+let qcheck_decode_fuzz =
+  let open QCheck in
+  [
+    QCheck.Test.make ~name:"decode random frames: wire error or clean value"
+      ~count:2000
+      (QCheck.make
+         ~print:(fun s -> Printf.sprintf "%S" s)
+         Gen.(string_size ~gen:char (int_range 0 64)))
+      (fun s ->
+        let pos = ref 0 in
+        match Wire.decode_value (Bytes.of_string s) ~pos with
+        | _ -> true
+        | exception Failure msg -> is_wire_error msg
+        (* anything else (Invalid_argument, Out_of_memory, ...) fails *));
+  ]
+
+(* --- shard frames -------------------------------------------------------- *)
 
 let roundtrip_shard m =
   let b = Buffer.create 64 in
@@ -44,6 +158,10 @@ let shard_codec () =
       Wire.Sh_close;
     ]
 
+(* One length-prefixed frame around [payload], as [Wire.write_shard] emits. *)
+let frame_of payload =
+  Bytes.cat (le_int64 (Int64.of_int (String.length payload))) (Bytes.of_string payload)
+
 (* Decoding attacker-controlled bytes must either produce a message or fail
    with a "wire:"-prefixed [Failure] — never crash another way and never
    allocate absurdly. *)
@@ -54,8 +172,7 @@ let malformed_shard_frames () =
     | exception Failure msg ->
       Alcotest.(check bool)
         (Printf.sprintf "error %S is wire-prefixed" msg)
-        true
-        (String.length msg >= 5 && String.sub msg 0 5 = "wire:")
+        true (is_wire_error msg)
   in
   (* truncations of a valid batch frame *)
   let b = Buffer.create 64 in
@@ -76,7 +193,26 @@ let malformed_shard_frames () =
     ("B" ^ String.concat ""
        [ "\x01\x00\x00\x00\x00\x00\x00\x00";
          "\x00\x00\x00\x00\x00\x00\x00\x00";
-         "\xff\xff\xff\x7f\x00\x00\x00\x00" ])
+         "\xff\xff\xff\x7f\x00\x00\x00\x00" ]);
+  (* a frame holds exactly one message: a valid message followed by junk,
+     or by a second message, must not decode as the first alone *)
+  let read_must_fail name payload =
+    let rd, wr = Unix.pipe () in
+    let f = frame_of payload in
+    ignore (Unix.write wr f 0 (Bytes.length f));
+    Unix.close wr;
+    (match Wire.read_shard rd with
+     | exception Failure msg ->
+       Alcotest.(check bool) (name ^ ": wire-prefixed failure") true
+         (is_wire_error msg)
+     | _ -> Alcotest.fail (name ^ ": frame with trailing bytes accepted"));
+    Unix.close rd
+  in
+  read_must_fail "close then junk" ("Z" ^ "junk");
+  let two = Buffer.create 32 in
+  Wire.encode_shard two (Wire.Sh_ack { ch = 0; upto = 3 });
+  Wire.encode_shard two Wire.Sh_close;
+  read_must_fail "two messages in one frame" (Buffer.contents two)
 
 let qcheck_shard_fuzz =
   let open QCheck in
@@ -86,9 +222,69 @@ let qcheck_shard_fuzz =
       (fun s ->
         match Wire.decode_shard (Bytes.of_string s) ~pos:(ref 0) with
         | _ -> true
-        | exception Failure msg ->
-          String.length msg >= 5 && String.sub msg 0 5 = "wire:");
+        | exception Failure msg -> is_wire_error msg);
   ]
+
+(* --- live descriptors ------------------------------------------------------ *)
+
+(* Frame reads must restart on EINTR instead of corrupting the framing: an
+   interval timer peppers the process with SIGALRM while a batch frame
+   trickles in byte by byte. *)
+let eintr_mid_frame () =
+  let old = Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> ())) in
+  ignore
+    (Unix.setitimer Unix.ITIMER_REAL
+       { Unix.it_interval = 0.002; it_value = 0.002 });
+  Fun.protect
+    ~finally:(fun () ->
+      ignore
+        (Unix.setitimer Unix.ITIMER_REAL
+           { Unix.it_interval = 0.0; it_value = 0.0 });
+      Sys.set_signal Sys.sigalrm old)
+    (fun () ->
+      let rd, wr = Unix.pipe () in
+      let msg =
+        Wire.Sh_batch
+          { ch = 3; base = 40; items = [ Value.int 42; Value.str "eintr" ] }
+      in
+      let payload = Buffer.create 64 in
+      Wire.encode_shard payload msg;
+      let all = frame_of (Buffer.contents payload) in
+      let writer =
+        Thread.create
+          (fun () ->
+            (* one byte at a time, slowly: reads in between see partial
+               frames and get interrupted by the timer *)
+            let rec put ch =
+              (* the writer gets peppered by the same timer: restart its
+                 own syscalls too *)
+              match Unix.write wr (Bytes.make 1 ch) 0 1 with
+              | _ -> ()
+              | exception Unix.Unix_error (Unix.EINTR, _, _) -> put ch
+            in
+            Bytes.iter
+              (fun ch ->
+                put ch;
+                try Thread.delay 0.003 with _ -> ())
+              all)
+          ()
+      in
+      let got = Wire.read_shard rd in
+      Thread.join writer;
+      Alcotest.(check bool) "batch intact" true (got = Some msg);
+      Unix.close rd;
+      Unix.close wr)
+
+(* Writing to a peer that is gone must raise EPIPE, not deliver SIGPIPE:
+   the fabric relies on the exception to take the link down and reconnect.
+   Without the guard, SIGPIPE's default action kills this test process. *)
+let write_to_closed_peer_raises_epipe () =
+  let mine, peer = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.close peer;
+  (match Wire.write_shard mine (Wire.Sh_ack { ch = 0; upto = 1 }) with
+   | exception Unix.Unix_error (Unix.EPIPE, _, _) -> ()
+   | () -> Alcotest.fail "write to a closed peer succeeded");
+  Unix.close mine
 
 (* --- journals ---------------------------------------------------------------- *)
 
@@ -116,6 +312,17 @@ let journal_recovery () =
   (* torn tail: a partial line that never got its newline *)
   output_string oc "deadbe";
   close_out oc;
+  (* a line must decode to exactly one value: hex junk after a complete
+     encoding is corruption, not a value to accept *)
+  let junk = Filename.concat dir "junk.journal" in
+  let oc = open_out_bin junk in
+  output_string oc (Shard.journal_line (Value.int 5) ^ "00\n");
+  close_out oc;
+  (match Shard.read_journal junk with
+   | exception Failure msg ->
+     Alcotest.(check bool) "shard-prefixed failure" true
+       (String.starts_with ~prefix:"shard:" msg)
+   | _ -> Alcotest.fail "journal line with trailing bytes accepted");
   Alcotest.(check int) "recovers complete lines" 3 (Shard.recover_journal path);
   let vs = Shard.read_journal path in
   Alcotest.(check int) "reads complete lines" 3 (List.length vs);
@@ -436,6 +643,10 @@ let stats_surface () =
 
 let tests =
   [
+    ("wire value roundtrips", `Quick, wire_values);
+    ("malformed frames rejected", `Quick, malformed_frames_rejected);
+    ("EINTR mid-frame does not corrupt framing", `Quick, eintr_mid_frame);
+    ("write to closed peer raises EPIPE", `Quick, write_to_closed_peer_raises_epipe);
     ("shard frame roundtrips", `Quick, shard_codec);
     ("malformed shard frames rejected", `Quick, malformed_shard_frames);
     ("journal recovery truncates torn tail", `Quick, journal_recovery);
@@ -446,4 +657,6 @@ let tests =
      kill_no_journal_resumes);
     ("retry budget exhausted: structured poison, no hang", `Slow, budget_exhausted_poisons);
   ]
+  @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_wire
+  @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_decode_fuzz
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_shard_fuzz

@@ -14,7 +14,6 @@ let () =
       ("sim", Suite_sim.tests);
       ("prop", Suite_prop.tests);
       ("codegen", Suite_codegen.tests);
-      ("dist", Suite_dist.tests);
       ("shard", Suite_shard.tests);
       ("solver-props", Suite_solver_props.tests);
       ("fuzz", Suite_fuzz.tests);

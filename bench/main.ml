@@ -7,53 +7,21 @@
 
    Absolute numbers differ from the paper's testbeds (see EXPERIMENTS.md);
    the shapes -- who wins where, where the existing compiler fails, where
-   the monolithic product blows up -- are the reproduction targets. *)
+   the monolithic product blows up -- are the reproduction targets. This
+   harness prints tables and gates nothing: the performance benchmark, with
+   its host fingerprint and per-metric bounds, is perfbench/run.py. *)
 
 open Preo_support
 
 let sections =
   [ "fig12"; "fig13"; "fig13-blowup"; "npb-mc"; "abl-opt"; "abl-cache";
-    "abl-part"; "obs"; "elastic"; "coloring"; "compile"; "shard"; "micro" ]
-
-(* Representative connector families for the steps/s micro bench: picked to
-   exercise deep pending sets (sequencer), partitionable pipelines
-   (relay_ring), wide synchronization (broadcast_fifo, gather), and token
-   circulation (token_ring). BENCH_baseline.json is regenerated from these
-   rows (plus the elastic churn and coloring scaling rows) via
-   `--only micro,elastic,coloring --json BENCH_baseline.json`. *)
-let micro_families =
-  [ ("sequencer", 8); ("relay_ring", 6); ("broadcast_fifo", 8);
-    ("token_ring", 8); ("gather", 8) ]
-
-(* Each config pins its domain placement: [`One] runs everything in the
-   primary domain (the schema-3 baseline semantics, so old and new rows stay
-   comparable), [`Multi] spreads partition regions and port tasks over a
-   domain pool of --domains workers (default 2). new-partitioned-mc is the
-   multicore row of the evaluation. The last field is the port-task batch
-   size: the -b8 rows drive every port through the batch API (8 values per
-   submission burst), exercising the MPSC submission queues. *)
-let micro_configs =
-  [
-    ("new-jit", Preo_runtime.Config.new_jit, `One, 1);
-    ("new-jit-nolabel",
-     Preo_runtime.Config.New
-       { optimize_labels = false; cache_capacity = 0;
-         expansion_budget = 2_000_000; partition = false;
-         true_synchronous = false },
-     `One, 1);
-    ("new-jit-b8", Preo_runtime.Config.new_jit, `One, 8);
-    ("new-partitioned", Preo_runtime.Config.new_partitioned, `One, 1);
-    ("new-partitioned-mc", Preo_runtime.Config.new_partitioned, `Multi, 1);
-    ("new-partitioned-mc-b8", Preo_runtime.Config.new_partitioned, `Multi, 8);
-  ]
+    "abl-part"; "obs"; "elastic"; "coloring"; "compile"; "micro" ]
 
 type opts = {
   full : bool;
   only : string list;
   detail : bool;
-  json : string option;
-  compare : (string * string) option;
-  domains : int;  (* domain count for the `Multi (…-mc) rows and fig13 *)
+  domains : int;  (* worker-domain count for npb-mc's multi-domain rows *)
   backend : Preo_runtime.Sched.backend option;
       (* process-default backend for every section; the coloring section
          always pins its three configs explicitly *)
@@ -65,11 +33,9 @@ type opts = {
 
 let parse_args () =
   let full = ref false and only = ref [] and detail = ref false in
-  let json = ref None in
   let domains = ref 2 in
   let backend = ref None in
   let interleave = ref 5 in
-  let cmp_old = ref "" and cmp_new = ref None in
   let set_only s = only := String.split_on_char ',' s in
   let spec =
     [
@@ -77,24 +43,16 @@ let parse_args () =
       ("--only", Arg.String set_only,
        "SECTIONS comma-separated subset of: " ^ String.concat "," sections);
       ("--detail", Arg.Set detail,
-       " per-connector detail for fig12 and engine counters for micro");
+       " per-connector detail for fig12");
       ("--domains", Arg.Set_int domains,
-       "N domain count for the multicore micro rows (new-partitioned-mc); \
-        default 2, clamped to the runtime cap");
+       "N worker domains for npb-mc's multi-domain rows; default 2, \
+        clamped to the runtime cap");
       ("--backend", Arg.String (fun b -> backend := Some b),
        "B execution backend for every run: automata (default) or coloring \
         (the coloring section always measures both explicitly)");
       ("--interleave", Arg.Set_int interleave,
        "K runs per mode in the compile section, alternating \
         compiled/interpreted; each cell is the median of K (default 5)");
-      ("--json", Arg.String (fun f -> json := Some f),
-       "FILE dump the micro, elastic and coloring steps/s rows as JSON \
-        (baseline format, see EXPERIMENTS.md)");
-      ("--compare",
-       Arg.Tuple
-         [ Arg.Set_string cmp_old; Arg.String (fun f -> cmp_new := Some f) ],
-       "OLD.json NEW.json compare two --json dumps row by row (±5% noise \
-        band); exits non-zero when any row regressed");
     ]
   in
   Arg.parse spec (fun s -> raise (Arg.Bad ("unexpected argument " ^ s)))
@@ -128,8 +86,6 @@ let parse_args () =
     full = !full;
     only = !only;
     detail = !detail;
-    json = !json;
-    compare = (match !cmp_new with Some n -> Some (!cmp_old, n) | None -> None);
     domains = max 1 !domains;
     backend;
     interleave = max 1 !interleave;
@@ -632,53 +588,6 @@ let obs_overhead opts =
   Printf.printf "tracing-on overhead: %.1f%%\n" (100.0 *. (1.0 -. (on /. off)))
 
 (* ------------------------------------------------------------------ *)
-(* Shared --json row emission (schema 10)                              *)
-(* ------------------------------------------------------------------ *)
-
-let stats_json (st : Preo_runtime.Connector.stats) =
-  Preo_runtime.Connector.(
-    Printf.sprintf
-      "{\"st_steps\": %d, \"st_regions\": %d, \"st_domains\": %d, \
-       \"st_expansions\": %d, \"st_cache_hits\": %d, \
-       \"st_cache_evictions\": %d, \"st_compile_seconds\": %.6f, \
-       \"st_solver_calls\": %d, \"st_cond_waits\": %d, \"st_peer_kicks\": %d, \
-       \"st_cand_hits\": %d, \"st_stalls\": %d, \"st_wakes_targeted\": %d, \
-       \"st_wakes_spurious\": %d, \"st_wakes_broadcast\": %d, \
-       \"st_mpsc_ops\": %d, \"st_mpsc_batches\": %d, \"st_mpsc_fast\": %d, \
-       \"st_splices\": %d, \"st_color_rounds\": %d, \
-       \"st_color_iters\": %d, \"st_compiled_fires\": %d, \
-       \"st_interp_fires\": %d, \"st_regions_fused\": %d, \
-       \"st_shard_batches\": %d, \"st_shard_items\": %d, \
-       \"st_shard_acks\": %d, \"st_shard_reconnects\": %d}"
-      st.st_steps st.st_regions st.st_domains st.st_expansions st.st_cache_hits
-      st.st_cache_evictions st.st_compile_seconds st.st_solver_calls
-      st.st_cond_waits st.st_peer_kicks st.st_cand_hits st.st_stalls
-      st.st_wakes_targeted st.st_wakes_spurious st.st_wakes_broadcast
-      st.st_mpsc_ops st.st_mpsc_batches st.st_mpsc_fast st.st_splices st.st_color_rounds st.st_color_iters st.st_compiled_fires
-      st.st_interp_fires st.st_regions_fused st.st_shard_batches
-      st.st_shard_items st.st_shard_acks st.st_shard_reconnects)
-
-(* Latency columns (schema 9): only the sections that measure end-to-end
-   round trips emit them, so they are optional per row. [extra] splices
-   additional section-specific keys (the shard row's worker-exit flag). *)
-let json_row ?latency ?(extra = "") ~family ~n ~config ~rate ~stats () =
-  let lat =
-    match latency with
-    | None -> ""
-    | Some (p50_ms, p99_ms) ->
-      Printf.sprintf " \"p50_ms\": %.3f, \"p99_ms\": %.3f," p50_ms p99_ms
-  in
-  Printf.sprintf
-    "    {\"family\": %S, \"n\": %d, \"config\": %S, \"steps_per_s\": %.1f,%s%s \
-     \"stats\": %s}"
-    family n config rate lat extra (stats_json stats)
-
-let percentile sorted q =
-  let n = Array.length sorted in
-  if n = 0 then nan
-  else sorted.(min (n - 1) (int_of_float (q *. float_of_int n)))
-
-(* ------------------------------------------------------------------ *)
 (* COLORING: three-way backend scaling                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -734,7 +643,6 @@ let coloring_bench opts =
     [ "lossy_bcast"; "broadcast_fifo"; "sequencer"; "ordered_merger" ]
   in
   let ns = [ 16; 64; 256; 1024 ] in
-  let json_rows = ref [] in
   let rows =
     List.concat_map
       (fun fname ->
@@ -750,10 +658,6 @@ let coloring_bench opts =
                 | Preo_connectors.Driver.Steps
                     { steps; run_seconds; stats = st; _ } ->
                   let rate = float_of_int steps /. run_seconds in
-                  json_rows :=
-                    json_row ~family:fname ~n ~config:cname ~rate ~stats:st
-                      ()
-                    :: !json_rows;
                   Printf.eprintf "[coloring] %-16s N=%-4d %-9s %.0f steps/s\n%!"
                     fname n cname rate;
                   Preo_runtime.Connector.
@@ -780,8 +684,7 @@ let coloring_bench opts =
   Tablefmt.print
     ~header:
       [ "family"; "N"; "backend"; "steps/s"; "color-rounds"; "iters/round" ]
-    rows;
-  List.rev !json_rows
+    rows
 
 (* ------------------------------------------------------------------ *)
 (* ELASTIC: run-time join/leave churn                                  *)
@@ -791,12 +694,10 @@ let coloring_bench opts =
    exchange a full round of data at the larger size, shrink back, exchange
    another round — so every splice faces a real quiescence check and the
    steady-state data path is measured together with the splice overhead.
-   The autoscaling EP kernel rides along as an end-to-end row (table only;
-   its connectors are torn down inside the kernel, so no stats object). *)
+   The autoscaling EP kernel rides along as an end-to-end row. *)
 let elastic_bench opts =
   Tablefmt.rule "ELASTIC: run-time join/leave (splice) churn";
   let window = if opts.full then 1.0 else 0.5 in
-  let json_rows = ref [] in
   let churn fname base ~round =
     let e = Preo_connectors.Catalog.find fname in
     let inst =
@@ -812,14 +713,9 @@ let elastic_bench opts =
       round inst base
     done;
     let seconds = Clock.now () -. t0 in
-    let st = Preo_runtime.Connector.stats (Preo.connector inst) in
     let steps = Preo.steps inst in
     let splices = Preo_runtime.Connector.splices (Preo.connector inst) in
     let rate = float_of_int steps /. seconds in
-    json_rows :=
-      json_row ~family:"elastic_churn" ~n:base ~config:fname ~rate ~stats:st
-        ()
-      :: !json_rows;
     Printf.eprintf "[elastic] %-16s N=%-3d %.0f steps/s, %d splices\n%!" fname
       base rate splices;
     Preo.shutdown inst;
@@ -853,16 +749,8 @@ let elastic_bench opts =
   in
   Tablefmt.print
     ~header:[ "bench"; "family"; "N/peak"; "steps/s"; "splices"; "splices/s" ]
-    rows;
-  List.rev !json_rows
+    rows
 
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* Firing-loop throughput per connector family. The committed
-   BENCH_baseline.json pins these numbers so future engine changes have a
-   perf trajectory to compare against. *)
 (* ------------------------------------------------------------------ *)
 (* COMPILE: compiled dispatch vs interpreted, interleaved A/B           *)
 (* ------------------------------------------------------------------ *)
@@ -965,182 +853,8 @@ let compile_bench opts =
     rows
 
 (* ------------------------------------------------------------------ *)
-(* SHARD: multi-process connector fabric                               *)
+(* MICRO: bechamel latencies                                           *)
 (* ------------------------------------------------------------------ *)
-
-(* Production-shape pub-sub: one publisher on the host fans out through
-   NBcastFifo to [branches] relay regions spread over [nworkers] worker
-   processes; each relay's consumer task fans every delivery out to its
-   share of ~1M simulated client counters. Every cross-process cut rides a
-   batched, backpressured shard channel, so the row measures the wire-level
-   fabric (frame coalescing, window stalls, ack round trips), not just the
-   in-process engines. Throughput is messages acked end to end; the
-   latency columns are producer-send -> ack round trips sampled every 8th
-   message. *)
-let shard_bench opts =
-  let module Shard = Preo_dist.Shard in
-  let nworkers = 3 and branches = 6 in
-  let domains = max 2 opts.domains in
-  let window = if opts.full then 8.0 else 2.0 in
-  let clients_total = 1_000_002 in
-  let per_branch = clients_total / branches in
-  Tablefmt.rule
-    (Printf.sprintf
-       "SHARD: sharded broadcast, %d worker processes, %d simulated clients"
-       nworkers clients_total);
-  Printf.printf
-    "NBcastFifo hd=%d: the Repl region stays on the host, relay regions\n\
-     round-robin over %d worker processes; each relay fans deliveries out\n\
-     to %d client counters. window = %.1fs\n\n"
-    branches nworkers per_branch window;
-  let src =
-    "NBcastFifo(tl;hd[]) =\n\
-    \  Repl(tl;x[1..#hd])\n\
-    \  mult prod (i:1..#hd) Fifo1(x[i];hd[i])"
-  in
-  let lengths = [ ("hd", branches) ] in
-  let regions =
-    Shard.boundary_regions ~domains ~source:src ~name:"NBcastFifo" ~lengths ()
-  in
-  let hd = List.assoc "hd" regions in
-  let place r = if r = 0 then 0 else ((r - 1) mod nworkers) + 1 in
-  let workloads w =
-    [ Shard.Consume
-        { w_group = "hd";
-          w_indices =
-            List.filter
-              (fun i -> place hd.(i) = w)
-              (List.init branches Fun.id);
-          w_clients = per_branch } ]
-  in
-  (* window 256: deep enough to keep frames coalescing, shallow enough that
-     the latency columns measure the fabric rather than queueing behind a
-     four-thousand-deep backlog *)
-  let h =
-    Shard.host ~domains ~window:256 ~latency_every:8 ~nworkers ~place
-      ~workloads ~source:src ~name:"NBcastFifo" ~lengths ()
-  in
-  let stop = Atomic.make false in
-  let sent = Atomic.make 0 in
-  let producer =
-    Thread.create
-      (fun () ->
-        let p = Shard.outport_at h "tl" 0 in
-        try
-          while not (Atomic.get stop) do
-            Preo.Port.send p (Value.int (Atomic.get sent));
-            Atomic.incr sent
-          done
-        with Preo_runtime.Engine.Poisoned _ -> ())
-      ()
-  in
-  (* settle, then measure a clean window of acked traffic *)
-  Thread.delay 0.3;
-  ignore (Shard.latencies h);
-  let a0 = Atomic.get Preo_runtime.Shard_stats.acks in
-  let b0 = Atomic.get Preo_runtime.Shard_stats.batches in
-  let i0 = Atomic.get Preo_runtime.Shard_stats.items in
-  let t0 = Clock.now () in
-  Thread.delay window;
-  let elapsed = Clock.now () -. t0 in
-  let acked = Atomic.get Preo_runtime.Shard_stats.acks - a0 in
-  let batches = Atomic.get Preo_runtime.Shard_stats.batches - b0 in
-  let items = Atomic.get Preo_runtime.Shard_stats.items - i0 in
-  let lat =
-    let a = Array.of_list (List.map (fun s -> s *. 1000.0) (Shard.latencies h)) in
-    Array.sort compare a;
-    a
-  in
-  let p50 = percentile lat 0.50 and p99 = percentile lat 0.99 in
-  let stats = Preo_runtime.Connector.stats (Shard.connector h) in
-  Atomic.set stop true;
-  let statuses = Shard.shutdown h in
-  (try Thread.join producer with _ -> ());
-  let clean =
-    List.for_all (fun (_, st) -> st = Unix.WEXITED 0) statuses
-  in
-  let msgs_per_s = float_of_int acked /. float_of_int branches /. elapsed in
-  let deliveries_per_s = msgs_per_s *. float_of_int clients_total in
-  Tablefmt.print
-    ~header:
-      [ "workers"; "branches"; "clients"; "msg/s"; "client-deliv/s";
-        "p50(ms)"; "p99(ms)"; "items/frame"; "workers-clean" ]
-    [
-      [ string_of_int nworkers; string_of_int branches;
-        string_of_int clients_total; Printf.sprintf "%.0f" msgs_per_s;
-        Printf.sprintf "%.3g" deliveries_per_s; Printf.sprintf "%.2f" p50;
-        Printf.sprintf "%.2f" p99;
-        (if batches = 0 then "-"
-         else Printf.sprintf "%.1f" (float_of_int items /. float_of_int batches));
-        (if clean then "yes" else "NO") ];
-    ];
-  Printf.eprintf "[shard] %d workers %.0f msg/s p50=%.2fms p99=%.2fms%s\n%!"
-    nworkers msgs_per_s p50 p99 (if clean then "" else " (UNCLEAN EXIT)");
-  [ json_row ~latency:(p50, p99)
-      ~extra:(Printf.sprintf " \"workers_clean\": %b," clean)
-      ~family:"shard_bcast" ~n:branches
-      ~config:(Printf.sprintf "sharded-%dw" nworkers)
-      ~rate:msgs_per_s ~stats () ]
-
-let micro_steps opts =
-  Tablefmt.rule "MICRO-STEPS: firing-loop throughput per connector family";
-  let window = if opts.full then 1.0 else 0.5 in
-  Printf.printf "window = %.2fs per cell; counters with --detail\n\n" window;
-  let json_rows = ref [] in
-  let rows =
-    List.concat_map
-      (fun (fname, n) ->
-        let e = Preo_connectors.Catalog.find fname in
-        List.map
-          (fun (cname, config, dom_spec, batch) ->
-            let domains =
-              match dom_spec with `One -> 1 | `Multi -> max 2 opts.domains
-            in
-            match
-              Preo_connectors.Driver.run_noop ~config ~domains ~batch
-                ~seconds:window e ~n
-            with
-            | Preo_connectors.Driver.Steps { steps; run_seconds; stats = st; _ } ->
-              let rate = float_of_int steps /. run_seconds in
-              json_rows :=
-                json_row ~family:fname ~n ~config:cname ~rate ~stats:st ()
-                :: !json_rows;
-              Printf.eprintf "[micro] %-16s N=%-3d %-16s %.0f steps/s\n%!"
-                fname n cname rate;
-              [ fname; string_of_int n; cname; Printf.sprintf "%.0f" rate ]
-              @ (if opts.detail then
-                   Preo_runtime.Connector.
-                     [ string_of_int st.st_solver_calls;
-                       string_of_int st.st_cond_waits;
-                       string_of_int st.st_peer_kicks;
-                       string_of_int st.st_cand_hits;
-                       string_of_int st.st_wakes_targeted;
-                       string_of_int st.st_wakes_spurious;
-                       string_of_int st.st_wakes_broadcast;
-                       string_of_int st.st_mpsc_ops;
-                       string_of_int st.st_mpsc_fast;
-                       string_of_int st.st_compiled_fires;
-                       string_of_int st.st_interp_fires;
-                       string_of_int st.st_regions_fused ]
-                 else [])
-            | Preo_connectors.Driver.Compile_failed _ ->
-              [ fname; string_of_int n; cname; "COMPILE-FAIL" ]
-              @ (if opts.detail then List.init 12 (fun _ -> "-") else [])
-            | Preo_connectors.Driver.Run_failed _ ->
-              [ fname; string_of_int n; cname; "RUN-FAIL" ]
-              @ (if opts.detail then List.init 12 (fun _ -> "-") else []))
-          micro_configs)
-      micro_families
-  in
-  let header =
-    [ "family"; "N"; "config"; "steps/s" ]
-    @ (if opts.detail then
-         [ "solves"; "waits"; "kicks"; "cand-hits"; "wakes-t"; "wakes-sp";
-           "wakes-b"; "mpsc"; "fast"; "cfires"; "ifires"; "fused" ]
-       else [])
-  in
-  Tablefmt.print ~header rows;
-  List.rev !json_rows
 
 let micro _opts =
   Tablefmt.rule "MICRO: bechamel latencies";
@@ -1212,135 +926,9 @@ let micro _opts =
   Preo.shutdown inst
 
 (* ------------------------------------------------------------------ *)
-(* --compare: baseline regression gate                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Rows are keyed (family, n, config); steps/s within ±5% of the old value
-   counts as noise. Rows carrying latency columns (schema 9) are also banded
-   on p99: round-trip tails are far noisier than throughput, so the band is
-   a generous +50% — only a blown-up tail fails the gate. Exit codes: 0
-   clean, 1 at least one regression, 2 bad input. Used by CI against the
-   committed BENCH_baseline.json. *)
-let compare_baselines old_path new_path =
-  let module J = Preo_obs.Json in
-  let load path =
-    let j =
-      try
-        let ic = open_in_bin path in
-        let s = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        J.parse s
-      with Sys_error msg -> Error msg
-    in
-    match j with
-    | Ok j -> j
-    | Error msg ->
-      Printf.eprintf "bench --compare: %s: %s\n" path msg;
-      exit 2
-  in
-  let rows j =
-    match J.member "rows" j with
-    | Some r -> J.to_list r
-    | None ->
-      Printf.eprintf "bench --compare: missing \"rows\" array\n";
-      exit 2
-  in
-  let key r =
-    let str k = Option.bind (J.member k r) J.to_string in
-    let num k = Option.bind (J.member k r) J.to_float in
-    match (str "family", num "n", str "config") with
-    | Some f, Some n, Some c -> Some (f, int_of_float n, c)
-    | _ -> None
-  in
-  let rate r = Option.bind (J.member "steps_per_s" r) J.to_float in
-  let p99 r = Option.bind (J.member "p99_ms" r) J.to_float in
-  let threshold = 0.05 in
-  let lat_band = 0.50 in
-  let old_rows = rows (load old_path) and new_rows = rows (load new_path) in
-  let old_tbl = Hashtbl.create 32 in
-  List.iter
-    (fun r ->
-      match (key r, rate r) with
-      | Some k, Some v -> Hashtbl.replace old_tbl k (v, p99 r)
-      | _ -> ())
-    old_rows;
-  let regressions = ref 0 in
-  let seen = Hashtbl.create 32 in
-  let fmt_p99 = function Some v -> Printf.sprintf "%.2f" v | None -> "-" in
-  let table =
-    List.filter_map
-      (fun r ->
-        match (key r, rate r) with
-        | Some ((f, n, c) as k), Some nv -> begin
-          Hashtbl.replace seen k ();
-          match Hashtbl.find_opt old_tbl k with
-          | None ->
-            Some [ f; string_of_int n; c; "-"; Printf.sprintf "%.0f" nv; "-";
-                   "-"; fmt_p99 (p99 r); "new-row" ]
-          | Some (ov, op99) ->
-            let delta = (nv -. ov) /. ov in
-            let np99 = p99 r in
-            let lat_regressed =
-              match (op99, np99) with
-              | Some o, Some n -> n > o *. (1.0 +. lat_band)
-              | _ -> false
-            in
-            let verdict =
-              if delta < -.threshold && lat_regressed then begin
-                incr regressions;
-                "REGRESSION+LAT"
-              end
-              else if delta < -.threshold then begin
-                incr regressions;
-                "REGRESSION"
-              end
-              else if lat_regressed then begin
-                incr regressions;
-                "LAT-REGRESSION"
-              end
-              else if delta > threshold then "improved"
-              else "ok"
-            in
-            Some
-              [ f; string_of_int n; c; Printf.sprintf "%.0f" ov;
-                Printf.sprintf "%.0f" nv;
-                Printf.sprintf "%+.1f%%" (100.0 *. delta);
-                fmt_p99 op99; fmt_p99 np99; verdict ]
-        end
-        | _ -> None)
-      new_rows
-  in
-  let missing =
-    Hashtbl.fold
-      (fun ((f, n, c) as k) (ov, op99) acc ->
-        if Hashtbl.mem seen k then acc
-        else
-          [ f; string_of_int n; c; Printf.sprintf "%.0f" ov; "-"; "-";
-            fmt_p99 op99; "-"; "missing" ]
-          :: acc)
-      old_tbl []
-  in
-  Tablefmt.print
-    ~header:
-      [ "family"; "N"; "config"; "old/s"; "new/s"; "delta"; "p99old";
-        "p99new"; "verdict" ]
-    (table @ missing);
-  if !regressions > 0 then begin
-    Printf.printf "\n%d row(s) regressed beyond %.0f%%\n" !regressions
-      (100.0 *. threshold);
-    exit 1
-  end
-  else Printf.printf "\nno regressions beyond %.0f%%\n" (100.0 *. threshold)
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   let opts = parse_args () in
-  (match opts.compare with
-  | Some (old_path, new_path) ->
-    compare_baselines old_path new_path;
-    exit 0
-  | None -> ());
   Preo.set_backend opts.backend;
   let t0 = Clock.now () in
   if wants opts "fig12" then fig12 opts;
@@ -1351,24 +939,8 @@ let () =
   if wants opts "abl-cache" then abl_cache opts;
   if wants opts "abl-part" then abl_part opts;
   if wants opts "obs" then obs_overhead opts;
-  let json_rows = ref [] in
-  if wants opts "elastic" then json_rows := !json_rows @ elastic_bench opts;
-  if wants opts "coloring" then json_rows := !json_rows @ coloring_bench opts;
+  if wants opts "elastic" then elastic_bench opts;
+  if wants opts "coloring" then coloring_bench opts;
   if wants opts "compile" then compile_bench opts;
-  if wants opts "shard" then json_rows := !json_rows @ shard_bench opts;
-  if wants opts "micro" then begin
-    json_rows := !json_rows @ micro_steps opts;
-    micro opts
-  end;
-  (match opts.json with
-  | Some path when !json_rows <> [] ->
-    let oc = open_out path in
-    Printf.fprintf oc
-      "{\n  \"schema_version\": 10,\n  \"window_seconds\": %.2f,\n  \
-       \"rows\": [\n%s\n  ]\n}\n"
-      (if opts.full then 1.0 else 0.5)
-      (String.concat ",\n" !json_rows);
-    close_out oc;
-    Printf.printf "wrote %s\n" path
-  | _ -> ());
+  if wants opts "micro" then micro opts;
   Printf.printf "\nbench total: %.1fs\n" (Clock.now () -. t0)

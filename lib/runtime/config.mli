@@ -38,8 +38,8 @@ val stall_threshold : float option ref
 (** Stall-watchdog threshold in seconds: a blocking port operation waiting
     longer than this has a stall report snapshotted into its engine (see
     [Engine.last_stall]) and counted in [Connector.stats]. [None] (default)
-    disables the watchdog; initialized from the [PREO_STALL_THRESHOLD]
-    environment variable when set. *)
+    disables the watchdog, and so does a NaN threshold; initialized from the
+    [PREO_STALL_THRESHOLD] environment variable when set. *)
 
 val domains : int option ref
 (** Process-wide default domain count for connector instantiation. [None]

@@ -845,6 +845,12 @@ let untraced_submit_t = ref 0.0
 
 let run_op ?deadline ?(publish = true) t ~opname ~opv ~sub ~remove ~finished
     ~failed ~extract =
+  (* Rejected before publication: a NaN deadline never expires, and a
+     queued op carrying one would be left behind by the raise. *)
+  (match deadline with
+   | Some d when Float.is_nan d ->
+     invalid_arg ("Engine." ^ opname ^ ": NaN deadline")
+   | _ -> ());
   (match Atomic.get t.poison_flag with
    | Some msg -> raise (Poisoned msg)
    | None -> ());
@@ -872,7 +878,11 @@ let run_op ?deadline ?(publish = true) t ~opname ~opv ~sub ~remove ~finished
     try
       check_poison t;
       let w = waiter_of t opv in
-      let threshold = !Config.stall_threshold in
+      let threshold =
+        match !Config.stall_threshold with
+        | Some th when Float.is_nan th -> None (* NaN counts as unset *)
+        | th -> th
+      in
       let wait_start = ref nan in
       let timer_armed = ref false in
       let watchdog_tripped = ref false in

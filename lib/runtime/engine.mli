@@ -81,7 +81,8 @@ val send : ?deadline:float -> t -> Preo_automata.Vertex.t -> Value.t -> unit
 (** Blocking send at a boundary source vertex. [deadline] is an absolute
     Unix time; when it expires before the protocol fires, the pending
     operation is withdrawn (later firings cannot complete into the dead
-    slot) and {!Timed_out} is raised with a stall report. *)
+    slot) and {!Timed_out} is raised with a stall report. A NaN [deadline]
+    raises [Invalid_argument] before anything is queued. *)
 
 val recv : ?deadline:float -> t -> Preo_automata.Vertex.t -> Value.t
 (** Blocking receive at a boundary sink vertex (deadline as in {!send}). *)

@@ -16,7 +16,8 @@ val send : ?deadline:float -> outport -> Value.t -> unit
 (** Blocks until the connector completes the operation. May raise
     {!Engine.Poisoned}, and {!Engine.Timed_out} when [deadline] (an
     absolute Unix time) expires first — the pending operation is withdrawn
-    before raising, so the port stays usable. *)
+    before raising, so the port stays usable. A NaN [deadline] raises
+    [Invalid_argument] before anything is queued. *)
 
 val recv : ?deadline:float -> inport -> Value.t
 (** Blocks until a datum is delivered (deadline as in {!send}). *)

@@ -85,7 +85,11 @@ let poke s =
   try ignore (restart_eintr (fun () -> Unix.write s.s_wr (Bytes.make 1 'x') 0 1))
   with _ -> ()
 
+(* A NaN time would poison the thread's [Float.min] fold (NaN wins it) and
+   [Unix.select] would reject the timeout with EINVAL, killing the one
+   thread every deadline in the process relies on; refuse it up front. *)
 let register at f =
+  if Float.is_nan at then invalid_arg "Timer.register: NaN wake-up time";
   Mutex.lock lock;
   incr next_handle;
   let h = !next_handle in

@@ -14,7 +14,7 @@ type handle
 val register : float -> (unit -> unit) -> handle
 (** [register t f] runs [f ()] on the timer thread at absolute Unix time [t]
     (promptly if [t] is already past). Entries with identical times all
-    fire. *)
+    fire. Raises [Invalid_argument] when [t] is NaN. *)
 
 val cancel : handle -> unit
 (** Remove a registration; its callback will never run afterwards. Cancelling

@@ -4,8 +4,8 @@
      randomized environments — verdict, cell writes and deliveries, in
      order (the per-label equivalence behind the dispatch swap);
    - every catalog family executes with compilation on and off under both
-     backends; compiled runs fire through closures (st_compiled_fires),
-     the PREO_COMPILE=0 reference never does;
+     backends; compiled runs fire through closures only (st_compiled_fires,
+     no st_interp_fires), the PREO_COMPILE=0 reference only interprets;
    - randomized chains transport identical data and count identical steps
      compiled vs interpreted;
    - splicing a live compiled instance rebuilds the compiled tables (grow
@@ -121,15 +121,24 @@ let catalog_runs_both_modes () =
                   | Driver.Steps { steps; stats; _ } ->
                     Alcotest.(check bool) (label ^ " progresses") true
                       (steps > 0);
-                    if mode then
+                    if mode then begin
                       Alcotest.(check bool)
                         (label ^ " fires through closures")
                         true
-                        (stats.Connector.st_compiled_fires > 0)
-                    else
+                        (stats.Connector.st_compiled_fires > 0);
+                      Alcotest.(check int)
+                        (label ^ " never falls back to interpretation")
+                        0 stats.Connector.st_interp_fires
+                    end
+                    else begin
                       Alcotest.(check int)
                         (label ^ " reference never compiles")
-                        0 stats.Connector.st_compiled_fires
+                        0 stats.Connector.st_compiled_fires;
+                      Alcotest.(check bool)
+                        (label ^ " reference fires interpreted")
+                        true
+                        (stats.Connector.st_interp_fires > 0)
+                    end
                   | Driver.Compile_failed msg | Driver.Run_failed msg ->
                     Alcotest.fail (label ^ ": " ^ msg)))
             [ true; false ])

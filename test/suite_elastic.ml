@@ -165,15 +165,25 @@ let stale_port_fails_after_detach () =
 let churn_storm_sequencer () =
   with_inst ~lengths:[ ("hd", 2) ] seq_src "NSequencer" (fun inst ->
       (* Breathe the ring 2 -> 6 -> 2 repeatedly, consuming one full round
-         at every size so each splice happens at a round boundary. *)
+         at every size so each splice happens at a round boundary.
+         st_splices counts every grow and shrink, and nothing before. *)
+      let splices () = (Connector.stats (connector inst)).Connector.st_splices in
+      recv_round inst 2;
+      Alcotest.(check int) "no splice before the first grow" 0 (splices ());
+      let expected = ref 0 in
+      let splice f =
+        f ();
+        incr expected;
+        Alcotest.(check int) "st_splices counts the splice" !expected
+          (splices ());
+        recv_round inst (group_size inst "hd")
+      in
       for _ = 1 to 5 do
         for _ = 1 to 4 do
-          ignore (grow inst "hd");
-          recv_round inst (group_size inst "hd")
+          splice (fun () -> ignore (grow inst "hd"))
         done;
         for _ = 1 to 4 do
-          shrink inst "hd";
-          recv_round inst (group_size inst "hd")
+          splice (fun () -> shrink inst "hd")
         done
       done;
       Alcotest.(check int) "back to 2" 2 (group_size inst "hd");

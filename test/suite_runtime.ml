@@ -408,6 +408,37 @@ let partition_cuts_modal_medium () =
   Alcotest.(check int) "jit monolithic" 1 r1;
   Alcotest.(check int) "modal medium cut" 2 r2
 
+(* The same relay rule on catalog families, through the full instantiation
+   path: the per-task fifos of gather and broadcast_fifo stay fused with
+   their shared component on one domain (cutting them there only adds
+   bridge and wake-up traffic) and get one relay region each on two. *)
+let partition_relay_cuts_need_two_domains () =
+  let module Catalog = Preo_connectors.Catalog in
+  List.iter
+    (fun fname ->
+      let e = Catalog.find fname in
+      List.iter
+        (fun n ->
+          let stats domains =
+            let inst =
+              Preo.instantiate ~config:Config.new_partitioned ~domains
+                (Catalog.compiled e) ~lengths:(e.Catalog.lengths n)
+            in
+            Fun.protect
+              ~finally:(fun () -> Preo.shutdown inst)
+              (fun () -> Connector.stats (Preo.connector inst))
+          in
+          let label = Printf.sprintf "%s n=%d" fname n in
+          let one = stats 1 and two = stats 2 in
+          Alcotest.(check int) (label ^ ": built for two domains") 2
+            two.Connector.st_domains;
+          Alcotest.(check int) (label ^ ": relays fused on one domain") 1
+            one.Connector.st_regions;
+          Alcotest.(check int) (label ^ ": one relay region per task on two")
+            (n + 1) two.Connector.st_regions)
+        [ 3; 8 ])
+    [ "gather"; "broadcast_fifo" ]
+
 (* Fan-out relay rule: two boundary-headed fifos off the same replicator are
    both cut via relay regions (one per consumer), decoupling the consumers
    from each other. *)
@@ -788,6 +819,39 @@ let timed_out_op_is_withdrawn () =
   Task.join sender;
   Alcotest.(check int) "fresh recv gets the value" 9 (Value.to_int got)
 
+(* A NaN deadline never expires; it is refused before the op is queued, so
+   nothing is left behind to rendezvous with a later peer. *)
+let nan_deadline_rejected () =
+  let conn, a, b = sync_conn Config.new_jit in
+  (match Port.send ~deadline:nan (Connector.outport conn a) (Value.int 1) with
+   | exception Invalid_argument _ -> ()
+   | () -> Alcotest.fail "NaN deadline must raise Invalid_argument");
+  match Port.recv_opt ~deadline:(Unix.gettimeofday () +. 0.05)
+          (Connector.inport conn b) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "the rejected send was queued anyway"
+
+(* A NaN watchdog threshold (PREO_STALL_THRESHOLD=nan parses) counts as
+   unset: it trips nothing and must not reach the timer thread. *)
+let nan_stall_threshold_is_unset () =
+  let saved = !Config.stall_threshold in
+  Config.stall_threshold := Some nan;
+  Fun.protect
+    ~finally:(fun () -> Config.stall_threshold := saved)
+    (fun () ->
+      let conn, _, b = sync_conn Config.new_jit in
+      (match Port.recv_opt ~deadline:(Unix.gettimeofday () +. 0.05)
+               (Connector.inport conn b) with
+       | Error _ -> ()
+       | Ok _ -> Alcotest.fail "expected a timeout");
+      Alcotest.(check int) "only the deadline expiry is recorded" 1
+        (Connector.stats conn).Connector.st_stalls;
+      let fired = Atomic.make false in
+      Timer.wake_at (Unix.gettimeofday () +. 0.05)
+        (fun () -> Atomic.set fired true);
+      Thread.delay 0.3;
+      Alcotest.(check bool) "timer thread still fires" true (Atomic.get fired))
+
 let stall_watchdog_records () =
   (* the watchdog snapshots a blocked op that exceeds the threshold even
      when it is eventually released — no deadline involved *)
@@ -865,6 +929,8 @@ let tests =
     ("partition collapses chain", `Quick, partition_collapses_chain);
     ("partition cuts modal medium", `Quick, partition_cuts_modal_medium);
     ("partition relay fan-out", `Quick, partition_relay_fanout);
+    ("partition relay cuts need two domains", `Quick,
+     partition_relay_cuts_need_two_domains);
     ("partitioned execution matches", `Quick, partitioned_execution_matches);
     ("steps agree across composers", `Quick, steps_agree_across_composers);
     ("gated source", `Quick, gates_direct);
@@ -878,6 +944,8 @@ let tests =
     ("overflow-lossy keeps oldest", `Quick, overflow_lossy_keeps_oldest);
     ("recv deadline times out", `Quick, recv_deadline_times_out);
     ("send deadline times out", `Quick, send_deadline_times_out);
+    ("NaN deadline rejected before queueing", `Quick, nan_deadline_rejected);
+    ("NaN stall threshold counts as unset", `Quick, nan_stall_threshold_is_unset);
     ("timed-out op is withdrawn", `Quick, timed_out_op_is_withdrawn);
     ("stall watchdog records", `Quick, stall_watchdog_records);
     ("cross-region poison propagates", `Quick, cross_region_poison_propagates);

@@ -630,16 +630,22 @@ let budget_exhausted_poisons () =
    | None -> Alcotest.fail "no poison recorded");
   ignore (Shard.shutdown h)
 
-(* st_shard_* surfaces through Connector.stats *)
+(* st_shard_* surfaces through Connector.stats; all-local traffic never
+   touches the shard wire *)
 let stats_surface () =
   let before = Atomic.get Shard_stats.batches in
   Shard_stats.add_batch ~items:3;
   let c = Preo.compile ~source:bcast_src ~name:"NBcastFifo" in
   let inst = Preo.instantiate c ~lengths:[ ("hd", 2) ] in
+  let items0 = Atomic.get Shard_stats.items in
+  Preo.Port.send (Preo.outports inst "tl").(0) (Value.int 1);
+  List.iter (fun i -> ignore (Preo.Port.recv (Preo.inport_at inst "hd" i))) [ 1; 2 ];
   let st = Connector.stats (Preo.connector inst) in
   Preo.shutdown inst;
   Alcotest.(check bool) "stats reflect process-wide shard counters" true
-    (st.Connector.st_shard_batches >= before + 1 && st.Connector.st_shard_items >= 3)
+    (st.Connector.st_shard_batches >= before + 1 && st.Connector.st_shard_items >= 3);
+  Alcotest.(check int) "local traffic carries no shard items" items0
+    st.Connector.st_shard_items
 
 let tests =
   [

@@ -57,6 +57,18 @@ let cancel_one_of_two_keeps_the_other () =
   Thread.delay 0.1;
   Alcotest.(check int) "only the survivor fired" 10 (Atomic.get fired)
 
+(* A NaN time is refused: folded into the thread's next-wake minimum it
+   would make [Unix.select] fail with EINVAL and kill the timer thread, so
+   no later wake-up anywhere in the process would fire. *)
+let nan_registration_rejected () =
+  (match Timer.register nan ignore with
+   | exception Invalid_argument _ -> ()
+   | _ -> Alcotest.fail "NaN registration must raise Invalid_argument");
+  let fired = Atomic.make false in
+  Timer.wake_at (Unix.gettimeofday () +. 0.05) (fun () -> Atomic.set fired true);
+  Alcotest.(check bool) "a finite wake after the NaN one still fires" true
+    (wait_for (fun () -> Atomic.get fired))
+
 (* Shutdown joins the timer thread (no orphan), drops pending registrations,
    and leaves the module restartable: a later registration spins the thread
    back up and fires normally. *)
@@ -131,6 +143,7 @@ let tests =
     ("cancelled registration never fires", `Quick, cancelled_registration_never_fires);
     ("identical deadlines both fire", `Quick, identical_deadlines_both_fire);
     ("cancel one of two keeps the other", `Quick, cancel_one_of_two_keeps_the_other);
+    ("NaN registration rejected", `Quick, nan_registration_rejected);
     ("shutdown joins and restarts", `Quick, shutdown_joins_and_restarts);
     ("shutdown/register storm", `Quick, shutdown_register_storm);
   ]
